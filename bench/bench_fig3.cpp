@@ -49,7 +49,9 @@ int main() {
   std::cout << "\nLegend (single-node throughput, PDF/s):\n";
   for (parsers::ParserKind kind : parsers::all_kinds()) {
     const auto parser = parsers::make_parser(kind);
-    const auto points = hpc::throughput_sweep(*parser, docs, {1});
+    const auto points =
+        hpc::throughput_sweep(hpc::campaign_tasks(*parser, docs),
+                              hpc::cluster_for_parser(kind, 1), {1});
     std::cout << "  " << parsers::parser_name(kind) << ": "
               << util::format_fixed(points[0].throughput, 3) << "\n";
   }

@@ -37,7 +37,9 @@ int main() {
   std::vector<std::vector<hpc::ScalePoint>> sweeps;
   for (parsers::ParserKind kind : parsers::all_kinds()) {
     const auto parser = parsers::make_parser(kind);
-    sweeps.push_back(hpc::throughput_sweep(*parser, docs, nodes));
+    sweeps.push_back(hpc::throughput_sweep(hpc::campaign_tasks(*parser, docs),
+                                           hpc::cluster_for_parser(kind, 1),
+                                           nodes));
   }
 
   // AdaParse variants: route once, sweep the implied task mix.
@@ -46,12 +48,10 @@ int main() {
   ada_config.model_load_seconds = 15.0;
   const auto ft_decisions = bundle.ft->route(docs);
   const auto ft_tasks = bundle.ft->plan_tasks(docs, ft_decisions);
-  const auto ft_sweep =
-      hpc::throughput_sweep_tasks(ft_tasks, ada_config, nodes);
+  const auto ft_sweep = hpc::throughput_sweep(ft_tasks, ada_config, nodes);
   const auto llm_decisions = bundle.llm->route(docs);
   const auto llm_tasks = bundle.llm->plan_tasks(docs, llm_decisions);
-  const auto llm_sweep =
-      hpc::throughput_sweep_tasks(llm_tasks, ada_config, nodes);
+  const auto llm_sweep = hpc::throughput_sweep(llm_tasks, ada_config, nodes);
 
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     auto& row = table.row();

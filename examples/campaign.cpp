@@ -177,9 +177,10 @@ int main(int argc, char** argv) {
             << util::format_fixed(lost_total, 2) << " s ("
             << util::format_fixed(100.0 * lost_total / productive, 1)
             << "% of useful work)\n";
-  const auto clean_sweep = hpc::throughput_sweep_tasks(tasks, cluster, nodes);
-  const auto lossy_sweep = hpc::throughput_sweep_measured(
-      tasks, cluster, nodes, latencies, productive);
+  const auto clean_sweep = hpc::throughput_sweep(tasks, cluster, nodes);
+  const auto lossy_sweep = hpc::throughput_sweep(
+      tasks, cluster, nodes,
+      hpc::recovery_overhead_fraction(latencies, productive));
   util::Table table({"Nodes", "PDF/s", "PDF/s (w/ recovery)"});
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     table.row()

@@ -1,7 +1,6 @@
 #include "campaign/coordinator.hpp"
 
 #include <poll.h>
-#include <signal.h>
 
 #include <algorithm>
 #include <csignal>
@@ -15,11 +14,13 @@
 
 namespace adaparse::campaign {
 
-Coordinator::Coordinator(ShardExecutor executor, ManifestWriter& manifest,
+Coordinator::Coordinator(ShardExecutor executor, WorkerTransport& transport,
+                         ManifestWriter& manifest,
                          std::deque<std::size_t> pending,
                          std::vector<QuarantineRecord> quarantined,
                          StatsUpdate update)
     : executor_(std::move(executor)),
+      transport_(transport),
       manifest_(manifest),
       pending_(std::move(pending)),
       quarantined_(std::move(quarantined)),
@@ -65,30 +66,19 @@ bool Coordinator::run() {
 
 void Coordinator::spawn_worker() {
   Worker w;  // both Pipe constructors open their pairs
-  w.child = proc::Child::spawn([this, &w] {
-    // Forked child: drop every pipe end belonging to the coordinator's
-    // other workers — a held peer write end would mask that peer's EOF —
-    // and the parent-side ends of our own pair.
-    for (Worker& other : workers_) {
-      other.to_child.close_read();
-      other.to_child.close_write();
-      other.from_child.close_read();
-      other.from_child.close_write();
+  std::vector<int> foreign_fds;
+  for (const Worker& other : workers_) {
+    for (const int fd :
+         {other.to_child.write_fd(), other.from_child.read_fd()}) {
+      if (fd >= 0) foreign_fds.push_back(fd);
     }
-    const int task_fd = w.to_child.read_fd();
-    const int result_fd = w.from_child.write_fd();
-    w.to_child.close_write();
-    w.from_child.close_read();
-    return worker_main(executor_, task_fd, result_fd);
-  });
-  w.to_child.close_read();
-  w.from_child.close_write();
+  }
+  w.link = transport_.spawn(executor_, w.to_child, w.from_child, foreign_fds);
   proc::Pipe::set_nonblocking(w.from_child.read_fd());
   w.alive = true;
   w.last_message = std::chrono::steady_clock::now();
-  obs::Tracer::instance().instant(
-      "campaign", "worker.spawn", "pid",
-      static_cast<std::uint64_t>(w.child.pid()));
+  obs::Tracer::instance().instant("campaign", "worker.spawn", "worker",
+                                  w.link->id());
   workers_.push_back(std::move(w));
   ++spawned_;
   update([](CampaignStats& s) { ++s.workers_spawned; });
@@ -112,8 +102,7 @@ void Coordinator::ensure_workers() {
 void Coordinator::reap() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = workers_[i];
-    if (!w.alive) continue;
-    if (!w.child.try_wait()) continue;
+    if (!w.alive || !w.link->try_reap()) continue;
     // Drain what the worker wrote before dying: a result already in the
     // pipe may still commit (its output file landed before the message).
     drain_worker(i);
@@ -126,8 +115,7 @@ void Coordinator::on_worker_lost(std::size_t index) {
   w.alive = false;
   const auto now = std::chrono::steady_clock::now();
   obs::Tracer::instance().instant(
-      "campaign", "worker.death", "pid",
-      static_cast<std::uint64_t>(w.child.pid()), "queued",
+      "campaign", "worker.death", "worker", w.link->id(), "queued",
       static_cast<std::uint64_t>(w.assigned.size()));
   update([](CampaignStats& s) { ++s.workers_died; });
   if (!w.assigned.empty()) {
@@ -216,44 +204,54 @@ void Coordinator::check_heartbeats() {
   for (Worker& w : workers_) {
     if (!w.alive || w.kill_sent || w.assigned.empty()) continue;
     if (now - w.last_message <= config().heartbeat_timeout) continue;
-    // Hung, not dead — waitpid would have caught dead. SIGKILL turns it
+    // Hung, not dead — try_reap would have caught dead. The kill turns it
     // into an ordinary death that reap() recovers from.
-    w.child.kill(SIGKILL);
-    w.kill_sent = true;
-    obs::Tracer::instance().instant(
-        "campaign", "worker.kill", "pid",
-        static_cast<std::uint64_t>(w.child.pid()));
-    update([](CampaignStats& s) { ++s.workers_killed; });
+    kill_worker(w);
   }
 }
 
-void Coordinator::send_task(Worker& worker, std::size_t shard, bool hedge) {
+void Coordinator::kill_worker(Worker& worker) {
+  worker.link->kill();
+  worker.kill_sent = true;
+  obs::Tracer::instance().instant("campaign", "worker.kill", "worker",
+                                  worker.link->id());
+  update([](CampaignStats& s) { ++s.workers_killed; });
+}
+
+void Coordinator::start_attempt(Worker& worker, std::size_t shard,
+                                bool hedge) {
   ShardInfo& si = shards_[shard];
   PendingTask task;
   task.shard = shard;
   task.attempt = si.attempts_started++;
   task.hedge = hedge;
-  task.dispatched = std::chrono::steady_clock::now();
-  task.quarantine_snapshot = quarantined_.size();
   if (si.phase == ShardInfo::Phase::kPending) {
     si.phase = ShardInfo::Phase::kRunning;
-    si.started = task.dispatched;
+    si.started = std::chrono::steady_clock::now();
   }
   if (hedge) si.hedged = true;
-  ++si.in_flight;
   update([](CampaignStats& s) { ++s.attempts_started; });
+  send_task(worker, task);
+}
+
+void Coordinator::send_task(Worker& worker, PendingTask task) {
+  task.dispatched = std::chrono::steady_clock::now();
+  task.quarantine_snapshot = quarantined_.size();
+  task.docs_done = 0;
+  ++shards_[task.shard].in_flight;
   proc::Message message;
   message.type = proc::MsgType::kTask;
-  message.shard = shard;
+  message.shard = task.shard;
   message.attempt = task.attempt;
   message.quarantine.reserve(quarantined_.size());
   for (const auto& q : quarantined_) message.quarantine.push_back(q.doc_id);
   // A failed write means the worker is already gone; reap() requeues this
   // task along with the rest of its queue.
   proc::write_all(worker.to_child.write_fd(), proc::encode_frame(message));
-  obs::Tracer::instance().instant("campaign", hedge ? "hedge" : "dispatch",
-                                  "shard", shard, "attempt", task.attempt);
-  worker.assigned.push_back(std::move(task));
+  obs::Tracer::instance().instant("campaign",
+                                  task.hedge ? "hedge" : "dispatch", "shard",
+                                  task.shard, "attempt", task.attempt);
+  worker.assigned.push_back(task);
 }
 
 std::optional<std::size_t> Coordinator::pick_hedge() const {
@@ -289,16 +287,18 @@ void Coordinator::dispatch() {
            !pending_.empty()) {
       const std::size_t shard = pending_.front();
       pending_.pop_front();
-      send_task(w, shard, /*hedge=*/false);
+      start_attempt(w, shard, /*hedge=*/false);
     }
   }
   if (!pending_.empty()) return;
   for (Worker& thief : workers_) {
     if (!thief.alive || thief.kill_sent || !thief.assigned.empty()) continue;
     // Steal the most backlogged worker's last queued (unstarted) shard:
-    // revoke it on the victim, dispatch a fresh attempt to the thief. If
-    // the victim raced us and ran it anyway, first commit wins and the
-    // loser's result is ignored as a ghost.
+    // revoke it on the victim and hand the same (shard, attempt) to the
+    // thief — the revoked task never started, and scripted faults are
+    // keyed by attempt, so a steal must not renumber it. If the victim
+    // raced us and ran it anyway, its result is a ghost (no longer in its
+    // queue) and is ignored.
     Worker* victim = nullptr;
     for (Worker& other : workers_) {
       if (!other.alive || other.kill_sent || &other == &thief) continue;
@@ -320,15 +320,15 @@ void Coordinator::dispatch() {
                       proc::encode_frame(revoke));
       obs::Tracer::instance().instant(
           "campaign", "steal", "shard",
-          static_cast<std::uint64_t>(stolen.shard), "victim_pid",
-          static_cast<std::uint64_t>(victim->child.pid()));
+          static_cast<std::uint64_t>(stolen.shard), "victim",
+          victim->link->id());
       update([](CampaignStats& s) { ++s.shards_stolen; });
-      send_task(thief, stolen.shard, stolen.hedge);
+      send_task(thief, stolen);
       continue;
     }
     if (const auto hedge = pick_hedge()) {
       update([](CampaignStats& s) { ++s.hedges_launched; });
-      send_task(thief, *hedge, /*hedge=*/true);
+      start_attempt(thief, *hedge, /*hedge=*/true);
     }
   }
 }
@@ -370,11 +370,7 @@ void Coordinator::drain_worker(std::size_t index) {
   } catch (const std::runtime_error&) {
     // Corrupt frame: the protocol stream is broken, so nothing further
     // from this worker can be trusted. Treat it like a hung worker.
-    if (w.alive && !w.kill_sent) {
-      w.child.kill(SIGKILL);
-      w.kill_sent = true;
-      update([](CampaignStats& s) { ++s.workers_killed; });
-    }
+    if (w.alive && !w.kill_sent) kill_worker(w);
   }
 }
 
@@ -534,13 +530,10 @@ void Coordinator::requeue(std::size_t shard) {
 }
 
 void Coordinator::shutdown_workers() {
-  if (halted_) {
-    // The scripted kill: this process is "dead", and real workers die
-    // with their coordinator — no goodbye, mid-whatever-they-were-doing.
-    for (Worker& w : workers_) {
-      if (w.alive) w.child.kill(SIGKILL);
-    }
-  } else {
+  // On the scripted kill this process is "dead", and its workers die with
+  // it — no goodbye, mid-whatever-they-were-doing. Otherwise each worker
+  // gets a kShutdown and two seconds to exit before it is killed.
+  if (!halted_) {
     proc::Message bye;
     bye.type = proc::MsgType::kShutdown;
     for (Worker& w : workers_) {
@@ -554,7 +547,7 @@ void Coordinator::shutdown_workers() {
       bool waiting = false;
       for (Worker& w : workers_) {
         if (!w.alive) continue;
-        if (w.child.try_wait()) {
+        if (w.link->try_reap()) {
           w.alive = false;
         } else {
           waiting = true;
@@ -563,15 +556,18 @@ void Coordinator::shutdown_workers() {
       if (!waiting || std::chrono::steady_clock::now() >= deadline) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    for (Worker& w : workers_) {
-      if (w.alive) w.child.kill(SIGKILL);
-    }
+  }
+  // Closing our pipe ends before the wait unblocks a thread worker stuck
+  // writing a full result pipe (EPIPE; SIGPIPE is ignored). Workers written
+  // off earlier are waited for too: a killed thread may still be running.
+  for (Worker& w : workers_) {
+    if (w.alive) w.link->kill();
+    w.to_child.close_write();
+    w.from_child.close_read();
   }
   for (Worker& w : workers_) {
-    if (w.alive) {
-      w.child.wait();
-      w.alive = false;
-    }
+    w.link->wait();
+    w.alive = false;
   }
 }
 

@@ -1,44 +1,47 @@
-// Multi-process campaign execution: a coordinator supervising forked
-// workers over pipes.
+// The campaign scheduler: one coordinator supervising N workers over pipes,
+// for both execution modes.
 //
 // The coordinator owns the shard queue and the manifest; workers own
 // nothing durable. Each worker gets a task channel (down) and a
 // heartbeat/result channel (up), with shards pre-assigned up to
 // CampaignConfig::worker_queue_depth so workers never idle on a dispatch
-// round-trip. Supervision is a single-threaded poll loop:
+// round-trip. Where a worker runs — a forked process or a thread in this
+// process — is the WorkerTransport's business (campaign/transport.hpp); the
+// frames, the poll() loop and every decision below are the same for both.
+// Supervision is a single-threaded loop:
 //
-//   reap        waitpid(WNOHANG) every worker; a dead child's uncommitted
-//               shards are requeued, its running attempt counted as a
-//               measured recovery latency, and a replacement forked
+//   reap        WorkerLink::try_reap every worker; a dead (or killed)
+//               worker's uncommitted shards are requeued, its running
+//               attempt counted as a measured recovery latency, and a
+//               replacement spawned
 //   heartbeats  a worker with assigned work but no message inside
-//               heartbeat_timeout is presumed hung and SIGKILLed (waitpid
-//               then reaps it like any other death)
+//               heartbeat_timeout is presumed hung and killed (reap then
+//               recovers it like any other death)
 //   dispatch    fill worker queues from the pending deque; once it drains,
 //               steal queued-but-unstarted shards back from the most
-//               backlogged worker for idle ones (kRevoke + fresh attempt),
-//               and hedge long-running shards exactly like the in-process
-//               mode — first commit wins
+//               backlogged worker for idle ones (kRevoke, same attempt),
+//               and hedge long-running shards — first commit wins
 //   read        drain result pipes, decode frames, update progress, and
 //               commit finished shards
 //
-// The commit protocol is byte-for-byte the in-process one: the worker
-// atomically renames the shard output into place, the coordinator verifies
-// the file against the result's checksum and appends the shard record.
-// Only the coordinator writes the manifest, so the journal needs no
-// cross-process locking.
+// Commit protocol: the worker atomically renames the shard output into
+// place, the coordinator verifies the file against the result's checksum
+// and appends the shard record. Only the coordinator writes the manifest,
+// so the journal needs no locking across workers.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "campaign/manifest.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/transport.hpp"
 #include "campaign/worker.hpp"
-#include "proc/child.hpp"
 #include "proc/pipe.hpp"
 #include "proc/wire.hpp"
 
@@ -51,11 +54,12 @@ class Coordinator {
   using StatsUpdate =
       std::function<void(const std::function<void(CampaignStats&)>&)>;
 
-  /// `executor` carries the engine/config/plan (pool and warm_cache unset:
-  /// each forked worker builds its own). `pending` holds the uncommitted
-  /// shard indices; every other shard is treated as already committed.
-  Coordinator(ShardExecutor executor, ManifestWriter& manifest,
-              std::deque<std::size_t> pending,
+  /// `executor` carries the engine/config/plan; the transport supplies the
+  /// pool and warm cache. `pending` holds the uncommitted shard indices;
+  /// every other shard is treated as already committed. The transport must
+  /// outlive the coordinator.
+  Coordinator(ShardExecutor executor, WorkerTransport& transport,
+              ManifestWriter& manifest, std::deque<std::size_t> pending,
               std::vector<QuarantineRecord> quarantined, StatsUpdate update);
 
   /// Runs the supervision loop until every shard is committed or a
@@ -77,14 +81,16 @@ class Coordinator {
   };
 
   struct Worker {
-    proc::Child child;
+    // Declared first so it is destroyed last: our pipe ends close before a
+    // thread worker is joined.
+    std::unique_ptr<WorkerLink> link;
     proc::Pipe to_child;    ///< coordinator writes tasks
     proc::Pipe from_child;  ///< worker writes heartbeats/results
     proc::FrameDecoder decoder;
     std::deque<PendingTask> assigned;  ///< front = running, rest queued
     std::chrono::steady_clock::time_point last_message{};
     bool alive = false;
-    bool kill_sent = false;  ///< heartbeat-timeout SIGKILL already fired
+    bool kill_sent = false;  ///< heartbeat-timeout kill already fired
   };
 
   struct ShardInfo {
@@ -106,8 +112,10 @@ class Coordinator {
   void ensure_workers();
   void reap();
   void check_heartbeats();
+  void kill_worker(Worker& worker);
   void dispatch();
-  void send_task(Worker& worker, std::size_t shard, bool hedge);
+  void start_attempt(Worker& worker, std::size_t shard, bool hedge);
+  void send_task(Worker& worker, PendingTask task);
   std::optional<std::size_t> pick_hedge() const;
   void poll_and_read();
   void drain_worker(std::size_t index);
@@ -120,6 +128,7 @@ class Coordinator {
   void shutdown_workers();
 
   ShardExecutor executor_;
+  WorkerTransport& transport_;
   ManifestWriter& manifest_;
   std::deque<std::size_t> pending_;
   std::vector<QuarantineRecord> quarantined_;

@@ -35,11 +35,14 @@ class DocumentSource {
 };
 
 /// Zero-copy view over an in-memory corpus. The vector must outlive every
-/// pipeline run using this source (documents are aliased, not copied).
+/// pipeline run using this source (documents are aliased, not copied), so
+/// a temporary is refused at compile time — hand one to OwnedVectorSource.
 class VectorSource final : public DocumentSource {
  public:
   explicit VectorSource(const std::vector<doc::Document>& docs)
       : docs_(&docs) {}
+  VectorSource(std::vector<doc::Document>&&) = delete;
+  VectorSource(const std::vector<doc::Document>&&) = delete;
 
   std::shared_ptr<const doc::Document> next() override {
     if (next_ >= docs_->size()) return nullptr;

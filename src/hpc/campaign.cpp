@@ -49,59 +49,38 @@ ClusterConfig cluster_for_parser(parsers::ParserKind kind, int nodes) {
   return config;
 }
 
-std::vector<ScalePoint> throughput_sweep(
-    const parsers::Parser& parser, const std::vector<doc::Document>& docs,
-    const std::vector<int>& node_counts) {
-  const auto tasks = campaign_tasks(parser, docs);
-  std::vector<ScalePoint> points;
-  points.reserve(node_counts.size());
-  for (int n : node_counts) {
-    const auto config = cluster_for_parser(parser.kind(), n);
-    const auto result = simulate(config, tasks);
-    points.push_back({n, result.throughput});
+std::vector<ScalePoint> throughput_sweep(const std::vector<TaskSpec>& tasks,
+                                         const ClusterConfig& base_config,
+                                         const std::vector<int>& node_counts,
+                                         double overhead_fraction) {
+  std::vector<TaskSpec> inflated;
+  if (overhead_fraction > 0.0) {
+    inflated = tasks;
+    for (auto& task : inflated) {
+      task.cpu_seconds *= 1.0 + overhead_fraction;
+      task.gpu_seconds *= 1.0 + overhead_fraction;
+    }
   }
-  return points;
-}
-
-std::vector<ScalePoint> throughput_sweep_tasks(
-    const std::vector<TaskSpec>& tasks, const ClusterConfig& base_config,
-    const std::vector<int>& node_counts) {
+  const std::vector<TaskSpec>& run = overhead_fraction > 0.0 ? inflated : tasks;
   std::vector<ScalePoint> points;
   points.reserve(node_counts.size());
   for (int n : node_counts) {
     ClusterConfig config = base_config;
     config.nodes = n;
-    const auto result = simulate(config, tasks);
-    points.push_back({n, result.throughput});
+    points.push_back({n, simulate(config, run).throughput});
   }
   return points;
 }
 
-std::vector<ScalePoint> throughput_sweep_with_overhead(
-    const std::vector<TaskSpec>& tasks, const ClusterConfig& base_config,
-    const std::vector<int>& node_counts, double overhead_fraction) {
-  const double scale = 1.0 + std::max(0.0, overhead_fraction);
-  std::vector<TaskSpec> inflated = tasks;
-  for (auto& task : inflated) {
-    task.cpu_seconds *= scale;
-    task.gpu_seconds *= scale;
-  }
-  return throughput_sweep_tasks(inflated, base_config, node_counts);
-}
-
-std::vector<ScalePoint> throughput_sweep_measured(
-    const std::vector<TaskSpec>& tasks, const ClusterConfig& base_config,
-    const std::vector<int>& node_counts,
+double recovery_overhead_fraction(
     const std::vector<double>& recovery_latency_seconds,
     double productive_wall_seconds) {
+  if (productive_wall_seconds <= 0.0) return 0.0;
   double lost = 0.0;
   for (const double latency : recovery_latency_seconds) {
     lost += std::max(0.0, latency);
   }
-  const double overhead =
-      productive_wall_seconds > 0.0 ? lost / productive_wall_seconds : 0.0;
-  return throughput_sweep_with_overhead(tasks, base_config, node_counts,
-                                        overhead);
+  return lost / productive_wall_seconds;
 }
 
 }  // namespace adaparse::hpc

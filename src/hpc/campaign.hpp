@@ -27,39 +27,24 @@ struct ScalePoint {
   double throughput = 0.0;  ///< PDF/s
 };
 
-/// Runs the node-count sweep for one parser over the document sample.
-/// `node_counts` is typically {1,2,4,...,128}.
-std::vector<ScalePoint> throughput_sweep(
-    const parsers::Parser& parser, const std::vector<doc::Document>& docs,
-    const std::vector<int>& node_counts);
+/// Runs `tasks` on `base_config` at each of `node_counts` (the config's
+/// `nodes` is overwritten per point). For a single-parser sweep pass
+/// campaign_tasks(parser, docs) and cluster_for_parser(kind, 1).
+/// `overhead_fraction` folds a measured fault-recovery overhead in: every
+/// task's CPU/GPU demand is inflated by (1 + overhead_fraction) —
+/// projecting what the paper's long multi-node runs would lose to retries
+/// and hedges at scale. Values < 0 are clamped to 0.
+std::vector<ScalePoint> throughput_sweep(const std::vector<TaskSpec>& tasks,
+                                         const ClusterConfig& base_config,
+                                         const std::vector<int>& node_counts,
+                                         double overhead_fraction = 0.0);
 
-/// Sweep for a pre-built task list (used for AdaParse, whose tasks mix CPU
-/// extraction, classifier inference, and budgeted GPU parses).
-std::vector<ScalePoint> throughput_sweep_tasks(
-    const std::vector<TaskSpec>& tasks, const ClusterConfig& base_config,
-    const std::vector<int>& node_counts);
-
-/// Sweep with a measured fault-recovery overhead folded in: every task's
-/// CPU/GPU demand is inflated by (1 + overhead_fraction), projecting a
-/// campaign::CampaignRunner's observed `recovery_wall_seconds /
-/// (wall_seconds - recovery_wall_seconds)` ratio onto the cluster — what
-/// the paper's long multi-node runs would lose to retries and hedges at
-/// scale. overhead_fraction < 0 is clamped to 0.
-std::vector<ScalePoint> throughput_sweep_with_overhead(
-    const std::vector<TaskSpec>& tasks, const ClusterConfig& base_config,
-    const std::vector<int>& node_counts, double overhead_fraction);
-
-/// Sweep that ingests *measured* per-fault recovery latencies instead of a
-/// pre-computed ratio: `recovery_latency_seconds` is
-/// CampaignStats::recovery_latency_seconds from a multi-process campaign
-/// (one entry per worker death or kill), `productive_wall_seconds` the
-/// campaign wall-clock net of recovery. The overhead fraction becomes
-/// sum(latencies) / productive, then delegates to
-/// throughput_sweep_with_overhead. A non-positive productive wall yields a
-/// zero-overhead sweep.
-std::vector<ScalePoint> throughput_sweep_measured(
-    const std::vector<TaskSpec>& tasks, const ClusterConfig& base_config,
-    const std::vector<int>& node_counts,
+/// Turns measured per-fault recovery latencies
+/// (CampaignStats::recovery_latency_seconds, one entry per worker death or
+/// kill) into throughput_sweep's overhead fraction: sum(latencies) /
+/// `productive_wall_seconds`, the campaign wall-clock net of recovery. A
+/// non-positive productive wall yields 0.
+double recovery_overhead_fraction(
     const std::vector<double>& recovery_latency_seconds,
     double productive_wall_seconds);
 

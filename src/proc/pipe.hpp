@@ -10,6 +10,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace adaparse::proc {
 
@@ -32,6 +33,11 @@ class Pipe {
 
   void close_read();
   void close_write();
+
+  /// Hands one end to a new owner, who must close it; the pipe forgets it
+  /// (an in-process worker thread takes its ends this way).
+  int release_read() { return std::exchange(read_fd_, -1); }
+  int release_write() { return std::exchange(write_fd_, -1); }
 
   /// Marks `fd` O_NONBLOCK (the coordinator's read ends, so one slow or
   /// dead worker can never block the supervision loop).

@@ -2,14 +2,17 @@
 // round-trip and torn-tail policy, crash/resume byte-identical equivalence
 // (killed after every shard boundary), per-document retry + poison
 // quarantine, corrupt-shard re-staging, torn manifest commits, hedged
-// stragglers, and the Prometheus stats surface.
+// stragglers, the coordinator's stealing/heartbeat/hedging paths on both
+// worker transports, and the Prometheus stats surface.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -719,9 +722,30 @@ TEST_F(CampaignFixture, MultiProcessRepeatedDeathsQuarantineTheSuspect) {
   EXPECT_EQ(output_bytes(runner), output_bytes(twin));
 }
 
-TEST_F(CampaignFixture, MultiProcessIdleWorkerStealsQueuedShards) {
-  auto config = base_config("mp_steal");
-  config.execution = CampaignConfig::ExecutionMode::kMultiProcess;
+/// The scheduling paths that only a coordinator has — stealing, heartbeat
+/// kills, hedging — run once per worker transport. The ctest names end in
+/// the transport (`/MultiProcess`, `/InProcess`).
+struct Transport {
+  CampaignConfig::ExecutionMode mode;
+  const char* name;
+};
+
+void PrintTo(const Transport& transport, std::ostream* os) {
+  *os << transport.name;
+}
+
+class CampaignTransport : public CampaignFixture,
+                          public ::testing::WithParamInterface<Transport> {
+ protected:
+  CampaignConfig transport_config(const std::string& name) const {
+    auto config = base_config(name + "_" + GetParam().name);
+    config.execution = GetParam().mode;
+    return config;
+  }
+};
+
+TEST_P(CampaignTransport, IdleWorkerStealsQueuedShards) {
+  auto config = transport_config("steal");
   config.docs_per_shard = 12;  // 96 docs -> 8 shards
   config.worker_queue_depth = 4;  // both workers pre-loaded with 4 shards
   // Whoever draws shard 0 crawls (100ms per record); the other worker
@@ -735,20 +759,19 @@ TEST_F(CampaignFixture, MultiProcessIdleWorkerStealsQueuedShards) {
   EXPECT_GE(stats.shards_stolen, 1u);
 
   // Stolen work produces the same bytes it would have on the victim.
-  auto in_process = base_config("mp_steal_inproc");
+  auto in_process = base_config(std::string("steal_twin_") + GetParam().name);
   in_process.docs_per_shard = 12;
   CampaignRunner twin(*bundle_->llm, in_process);
   ASSERT_TRUE(twin.run(source()).completed);
   EXPECT_EQ(output_bytes(runner), output_bytes(twin));
 }
 
-TEST_F(CampaignFixture, MultiProcessHungWorkerIsKilledByHeartbeatTimeout) {
-  auto config = base_config("mp_hung");
-  config.execution = CampaignConfig::ExecutionMode::kMultiProcess;
+TEST_P(CampaignTransport, HungWorkerIsKilledByHeartbeatTimeout) {
+  auto config = transport_config("hung");
   // The worker running shard 1 goes comatose between records (15s per
-  // document against a 4s heartbeat timeout). waitpid sees nothing — the
-  // process is alive — so only the missed-heartbeat path can save the
-  // campaign: SIGKILL the zombie-in-spirit, requeue, respawn. The wide
+  // document against a 4s heartbeat timeout). It is alive — a process is
+  // not reaped, a thread has not exited — so only the missed-heartbeat
+  // path can save the campaign: kill it, requeue, respawn. The wide
   // margin matters: healthy workers' inter-record gaps grow ~15x under
   // TSan, and a timeout they can miss turns this test into a kill loop.
   config.failures.stragglers = {
@@ -764,9 +787,8 @@ TEST_F(CampaignFixture, MultiProcessHungWorkerIsKilledByHeartbeatTimeout) {
   EXPECT_EQ(output_bytes(runner), reference_bytes());
 }
 
-TEST_F(CampaignFixture, MultiProcessStragglerIsHedged) {
-  auto config = base_config("mp_hedge");
-  config.execution = CampaignConfig::ExecutionMode::kMultiProcess;
+TEST_P(CampaignTransport, StragglerIsHedged) {
+  auto config = transport_config("hedge");
   config.worker_queue_depth = 1;  // nothing queued to steal: hedging only
   config.failures.stragglers = {
       {/*shard=*/3, /*first_attempts=*/1,
@@ -779,6 +801,13 @@ TEST_F(CampaignFixture, MultiProcessStragglerIsHedged) {
   EXPECT_GE(stats.hedges_launched, 1u);
   EXPECT_EQ(output_bytes(runner), reference_bytes());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryTransport, CampaignTransport,
+    ::testing::Values(
+        Transport{CampaignConfig::ExecutionMode::kMultiProcess,
+                  "MultiProcess"},
+        Transport{CampaignConfig::ExecutionMode::kInProcess, "InProcess"}));
 
 TEST_F(CampaignFixture, MultiProcessTornManifestCommitIsRedoneOnResume) {
   auto config = base_config("mp_torn");

@@ -200,7 +200,10 @@ TEST(Campaign, SweepMonotoneForComputeBoundParser) {
   const auto docs =
       doc::CorpusGenerator(doc::born_digital_config(300, 7)).generate();
   const auto nougat = parsers::make_parser(parsers::ParserKind::kNougat);
-  const auto points = throughput_sweep(*nougat, docs, {1, 2, 4, 8});
+  const auto points =
+      throughput_sweep(campaign_tasks(*nougat, docs),
+                       cluster_for_parser(parsers::ParserKind::kNougat, 1),
+                       {1, 2, 4, 8});
   ASSERT_EQ(points.size(), 4U);
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_GE(points[i].throughput, points[i - 1].throughput * 0.95);
@@ -215,9 +218,9 @@ TEST(Campaign, RecoveryOverheadLowersProjectedThroughput) {
   const auto base = cluster_for_parser(parsers::ParserKind::kNougat, 1);
   const std::vector<int> nodes = {1, 2, 4};
 
-  const auto clean = throughput_sweep_tasks(tasks, base, nodes);
-  const auto zero = throughput_sweep_with_overhead(tasks, base, nodes, 0.0);
-  const auto lossy = throughput_sweep_with_overhead(tasks, base, nodes, 1.0);
+  const auto clean = throughput_sweep(tasks, base, nodes);
+  const auto zero = throughput_sweep(tasks, base, nodes, 0.0);
+  const auto lossy = throughput_sweep(tasks, base, nodes, 1.0);
   ASSERT_EQ(clean.size(), lossy.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
     // Zero measured overhead projects the clean sweep exactly.
@@ -227,8 +230,7 @@ TEST(Campaign, RecoveryOverheadLowersProjectedThroughput) {
     EXPECT_LT(lossy[i].throughput, clean[i].throughput);
   }
   // Negative fractions clamp to zero overhead rather than speeding up.
-  const auto clamped =
-      throughput_sweep_with_overhead(tasks, base, nodes, -0.5);
+  const auto clamped = throughput_sweep(tasks, base, nodes, -0.5);
   EXPECT_DOUBLE_EQ(clamped[0].throughput, clean[0].throughput);
 }
 
@@ -242,22 +244,18 @@ TEST(Campaign, MeasuredRecoveryLatenciesMatchEquivalentFraction) {
 
   // Two measured 1-second faults over a 10-second productive run is a 20%
   // overhead — it must project exactly like the precomputed fraction.
-  const auto measured =
-      throughput_sweep_measured(tasks, base, nodes, {1.0, 1.0}, 10.0);
-  const auto fraction =
-      throughput_sweep_with_overhead(tasks, base, nodes, 0.2);
+  EXPECT_DOUBLE_EQ(recovery_overhead_fraction({1.0, 1.0}, 10.0), 0.2);
+  const auto measured = throughput_sweep(
+      tasks, base, nodes, recovery_overhead_fraction({1.0, 1.0}, 10.0));
+  const auto fraction = throughput_sweep(tasks, base, nodes, 0.2);
   ASSERT_EQ(measured.size(), fraction.size());
   for (std::size_t i = 0; i < measured.size(); ++i) {
     EXPECT_DOUBLE_EQ(measured[i].throughput, fraction[i].throughput);
   }
 
-  // No faults — or a degenerate productive wall — projects the clean sweep.
-  const auto clean = throughput_sweep_tasks(tasks, base, nodes);
-  const auto no_faults = throughput_sweep_measured(tasks, base, nodes, {}, 10.0);
-  const auto degenerate =
-      throughput_sweep_measured(tasks, base, nodes, {5.0}, 0.0);
-  EXPECT_DOUBLE_EQ(no_faults[0].throughput, clean[0].throughput);
-  EXPECT_DOUBLE_EQ(degenerate[0].throughput, clean[0].throughput);
+  // No faults — or a degenerate productive wall — is no overhead at all.
+  EXPECT_EQ(recovery_overhead_fraction({}, 10.0), 0.0);
+  EXPECT_EQ(recovery_overhead_fraction({5.0}, 0.0), 0.0);
 }
 
 // --------------------------------------------------------------- trace ----

@@ -187,7 +187,7 @@ TEST_F(PipelineFixture, ScalingSweepShapesMatchPaper) {
   const auto ada_tasks = bundle_->llm->plan_tasks(docs, decisions);
   hpc::ClusterConfig ada_config;
   const double ada8 =
-      hpc::throughput_sweep_tasks(ada_tasks, ada_config, {8})[0].throughput;
+      hpc::throughput_sweep(ada_tasks, ada_config, {8})[0].throughput;
 
   EXPECT_GT(mupdf8, ada8);
   EXPECT_GT(ada8, nougat8);

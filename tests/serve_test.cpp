@@ -50,13 +50,14 @@ std::shared_ptr<core::Cls2Improver> shared_improver() {
   return improver;
 }
 
-JobRequest make_request(std::string tenant,
-                        const std::vector<doc::Document>& docs,
+/// The request owns its documents: a job outlives the statement that
+/// submits it, so a caller may pass a temporary corpus.
+JobRequest make_request(std::string tenant, std::vector<doc::Document> docs,
                         std::size_t batch_size, double alpha = 0.25) {
   JobRequest request;
   request.spec.tenant = std::move(tenant);
   request.spec.engine = ft_config(batch_size, alpha);
-  request.source = std::make_unique<core::VectorSource>(docs);
+  request.source = std::make_unique<core::OwnedVectorSource>(std::move(docs));
   return request;
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,9 @@ struct StageStats {
 };
 
 /// Observability of the streaming pipeline behind run(). Default-initialized
-/// (streaming = false) when the output came from run_barrier().
+/// (streaming = false) when the output came from run_barrier(). Extract busy
+/// time includes scoring each document (CLS I, CLS II or III); route busy
+/// time is the reorder window and the budget selection only.
 struct PipelineStats {
   bool streaming = false;          ///< produced by the streaming pipeline
   /// True when a cooperative cancel stopped admission early (the run still
@@ -150,18 +153,28 @@ class AdaParseEngine {
  private:
   friend class Pipeline;  ///< the streaming engine reuses the stage kernels
 
-  /// Routes one window of `count` documents whose global indices start at
-  /// `base_index`, applying the per-batch floor(alpha*k) budget. The
-  /// pointer spans let the streaming pipeline route non-contiguous storage.
-  /// `alpha` is explicit so callers under closed-loop control (the serve
-  /// path's SLO guardian) can shrink the budget per window; batch paths
-  /// always pass config().alpha.
-  void route_window(const doc::Document* const* docs,
-                    const parsers::ParseResult* const* extractions,
-                    std::size_t count, std::size_t base_index, double alpha,
-                    RouteDecision* out) const;
+  /// Scores one document from its extraction: the CLS I check, then CLS II
+  /// (FT) or CLS III (LLM), filling `decision`'s verdict, predictions and
+  /// trail (its doc_index is the caller's). Returns the document's budget
+  /// gain, which is not `predicted_gain`: a CLS I reject must upgrade
+  /// (gain 1e9, predicted_gain 0) and an FT document below cls2_threshold
+  /// competes for nothing (gain 0, predicted_gain p). Needs no other
+  /// document, so the pipeline's extract workers call it in parallel.
+  double score(const doc::Document& document,
+               const parsers::ParseResult& extraction,
+               RouteDecision& decision) const;
 
-  /// Routes one contiguous batch given its extraction results.
+  /// Applies the per-batch floor(alpha*k) budget to one window of scored
+  /// decisions (`gains[i]` is score()'s return for `decisions[i]`): the
+  /// selected documents switch to Nougat, and their trails and predicted
+  /// accuracies record it. `alpha` is explicit so callers under
+  /// closed-loop control (the serve path's SLO guardian) can shrink the
+  /// budget per window; batch paths always pass config().alpha.
+  void select_window(std::span<RouteDecision> decisions,
+                     const std::vector<double>& gains, double alpha) const;
+
+  /// Routes one contiguous batch given its extraction results: score()
+  /// for each document, then select_window().
   void route_batch(const std::vector<doc::Document>& docs,
                    const std::vector<parsers::ParseResult>& extractions,
                    std::size_t begin, std::size_t end,

@@ -31,11 +31,14 @@ struct DocItem {
   DocPtr doc;
 };
 
-/// extract -> route.
+/// extract -> route: the extraction and its per-document score; only the
+/// window's budget is left to decide.
 struct ExtractedItem {
   std::size_t index = 0;
   DocPtr doc;
   parsers::ParseResult extraction;
+  RouteDecision decision;
+  double gain = 0.0;  ///< budget gain from AdaParseEngine::score
 };
 
 /// route -> upgrade -> write. `upgrade` is set iff a Nougat parse ran.
@@ -204,6 +207,13 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
               span.arg("bytes", bytes);
             }
           }
+          {
+            // A sibling of the extract span, so extract self time stays
+            // extraction only.
+            obs::SpanGuard span("pipeline", "score", "doc", out.index);
+            out.decision.doc_index = out.index;
+            out.gain = engine_.score(*out.doc, out.extraction, out.decision);
+          }
           const std::size_t now = ++resident;
           std::size_t seen = peak_resident.load();
           while (now > seen &&
@@ -229,9 +239,10 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
 
   // ---- Stage 3: sliding-window router. Per-batch floor(alpha*k) budget
   // semantics need k *consecutive* documents, so out-of-order extractions
-  // are buffered here until each window is contiguous, then routed as one
-  // batch — identical decisions to the barrier path, without waiting for
-  // the whole corpus. ------------------------------------------------------
+  // are buffered here until each window is contiguous, then the window's
+  // budget is applied — identical decisions to the barrier path, without
+  // waiting for the whole corpus. The extract workers already scored every
+  // document, so this thread only reorders and selects. ---------------------
   std::thread router([&] {
     StageClock clock;
     try {
@@ -243,13 +254,13 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
 
       auto flush_window = [&] {
         if (window.empty()) return;
-        std::vector<const doc::Document*> docs(window.size());
-        std::vector<const parsers::ParseResult*> extractions(window.size());
-        for (std::size_t i = 0; i < window.size(); ++i) {
-          docs[i] = window[i].doc.get();
-          extractions[i] = &window[i].extraction;
-        }
+        util::Stopwatch work;
         std::vector<RouteDecision> decisions(window.size());
+        std::vector<double> gains(window.size());
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          decisions[i] = std::move(window[i].decision);
+          gains[i] = window[i].gain;
+        }
         // One budget read per window: every document in the window is
         // routed under the same effective alpha, and the controller's
         // scale can never split a batch's floor(alpha*k) accounting.
@@ -258,12 +269,10 @@ EngineStats Pipeline::run(DocumentSource& source, const Sink& sink) const {
           alpha *= std::clamp(
               config_.alpha_scale->load(std::memory_order_relaxed), 0.0, 1.0);
         }
-        util::Stopwatch work;
         {
           obs::SpanGuard span("pipeline", "route.window", "base", base, "docs",
                               window.size());
-          engine_.route_window(docs.data(), extractions.data(), window.size(),
-                               base, alpha, decisions.data());
+          engine_.select_window(decisions, gains, alpha);
         }
         clock.busy += work.seconds();
         for (std::size_t i = 0; i < window.size(); ++i) {

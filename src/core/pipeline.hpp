@@ -3,19 +3,23 @@
 // run_barrier() phases —
 //
 //   source ─▶ [prefetch] ─q─▶ [extract ×W] ─q─▶ [route] ─q─▶ [upgrade ×G]
-//                                                                  │
+//                              parse + score    k-window budget    │
 //                                                  sink ◀─ [write] ◀q
 //
 // Every queue is a sched::BoundedQueue, so a slow stage back-pressures the
 // prefetcher instead of letting extractions pile up in RAM (the same
 // reason the paper stages shard batches into node-local storage rather
-// than unboundedly). Routing preserves the per-batch floor(alpha*k) budget
-// semantics by assembling sliding windows of k consecutive documents;
-// upgrades run on warm models (sched::WarmModelCache); the write stage
-// restores input order and emits each io::ParseRecord the moment its
-// document completes — so output streams to JSONL incrementally and the
-// peak number of resident extractions is bounded by the batch size plus
-// the queue capacities, never by the corpus size.
+// than unboundedly). Each extract worker scores its own document
+// (AdaParseEngine::score: CLS I, then CLS II or III), so the per-document
+// routing work runs in parallel. The router only reorders scored documents
+// into windows of k consecutive ones and applies the per-batch
+// floor(alpha*k) budget (AdaParseEngine::select_window), the one decision
+// that needs the whole window. Upgrades run on warm models
+// (sched::WarmModelCache); the write stage restores input order and emits
+// each io::ParseRecord the moment its document completes — so output
+// streams to JSONL incrementally and the peak number of resident
+// extractions is bounded by the batch size plus the queue capacities,
+// never by the corpus size.
 #pragma once
 
 #include <atomic>
@@ -35,8 +39,9 @@ namespace adaparse::core {
 struct PipelineConfig {
   /// Capacity of each inter-stage queue (the backpressure window).
   std::size_t queue_capacity = 32;
-  /// Extraction workers; 0 = the engine's `threads` setting (which itself
-  /// defaults to hardware concurrency).
+  /// Extract workers, each parsing and then scoring (CLS I, CLS II or III)
+  /// one document at a time; 0 = the engine's `threads` setting (which
+  /// itself defaults to hardware concurrency).
   std::size_t extract_workers = 0;
   /// Upgrade workers — stand-ins for resident GPU model slots.
   std::size_t upgrade_workers = 2;
@@ -56,7 +61,7 @@ struct PipelineConfig {
   /// own cache.
   sched::WarmModelCache* warm_cache = nullptr;
   /// Optional live multiplier on the engine's alpha budget, read once per
-  /// route-window flush (values clamped to [0, 1]). This is the SLO
+  /// route window (values clamped to [0, 1]). This is the SLO
   /// guardian's budget-shrink actuator: serve::ParseService points it at
   /// the controller's effective-alpha gauge. Null (the default, and always
   /// null on batch/campaign paths) means the fixed config().alpha — runs

@@ -160,6 +160,9 @@ void HttpServer::close_connection(int fd, bool disconnected) {
     conn.job.reset();
   }
   loop_.remove(fd);
+  // The socket closes when `closing` goes out of scope, after the count
+  // drops: a client that has read EOF must not still be counted.
+  const std::unique_ptr<Connection> closing = std::move(it->second);
   conns_.erase(it);
   open_count_.store(conns_.size(), std::memory_order_relaxed);
   connections_open_.set(conns_.size());

@@ -53,6 +53,18 @@ std::int64_t integer_field(const util::JsonObject& obj,
   return static_cast<std::int64_t>(d);
 }
 
+/// A 64-bit seed: only an exact non-negative integer literal will do, since
+/// a double would have rounded it.
+std::uint64_t uint64_field(const util::JsonObject& obj, const std::string& key,
+                           const std::string& field, std::uint64_t fallback) {
+  const auto it = obj.find(key);
+  if (it == obj.end()) return fallback;
+  if (!it->second.is_integer() || it->second.as_number() < 0.0) {
+    throw SpecError(field, "must be a non-negative integer");
+  }
+  return it->second.as_uint64();
+}
+
 std::string string_field(const util::JsonObject& obj, const std::string& key,
                          const std::string& field, std::string fallback) {
   const auto it = obj.find(key);
@@ -110,8 +122,7 @@ InlineDocument inline_doc_from_json(const util::Json& j,
     }
     out.pages.push_back(page.as_string());
   }
-  out.seed = static_cast<std::uint64_t>(
-      integer_field(obj, "seed", field + ".seed", 0));
+  out.seed = uint64_field(obj, "seed", field + ".seed", 0);
   return out;
 }
 
@@ -123,8 +134,7 @@ doc::GeneratorConfig generator_from_json(const util::Json& j) {
   doc::GeneratorConfig config;
   config.num_documents = static_cast<std::size_t>(
       integer_field(obj, "count", "documents.generator.count", 0));
-  config.seed = static_cast<std::uint64_t>(
-      integer_field(obj, "seed", "documents.generator.seed", 42));
+  config.seed = uint64_field(obj, "seed", "documents.generator.seed", 42);
   config.scanned_fraction =
       number_field(obj, "scanned_fraction",
                    "documents.generator.scanned_fraction",
@@ -181,7 +191,7 @@ util::Json JobSpec::to_json() const {
         pages.reserve(d.pages.size());
         for (const std::string& page : d.pages) pages.emplace_back(page);
         doc_obj["pages"] = util::Json(std::move(pages));
-        doc_obj["seed"] = static_cast<std::int64_t>(d.seed);
+        doc_obj["seed"] = d.seed;
         docs.emplace_back(std::move(doc_obj));
       }
       docs_obj["inline"] = util::Json(std::move(docs));
@@ -190,7 +200,7 @@ util::Json JobSpec::to_json() const {
     case Documents::kGenerator: {
       util::JsonObject gen;
       gen["count"] = generator.num_documents;
-      gen["seed"] = static_cast<std::int64_t>(generator.seed);
+      gen["seed"] = generator.seed;
       gen["scanned_fraction"] = generator.scanned_fraction;
       gen["corrupted_fraction"] = generator.corrupted_fraction;
       docs_obj["generator"] = util::Json(std::move(gen));

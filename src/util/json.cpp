@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace adaparse::util {
@@ -15,6 +16,33 @@ const Json& Json::at(const std::string& key) const {
 
 bool Json::contains(const std::string& key) const {
   return is_object() && as_object().count(key) > 0;
+}
+
+Json::Json(std::uint64_t u) {
+  if (u <= static_cast<std::uint64_t>(
+               std::numeric_limits<std::int64_t>::max())) {
+    value_ = static_cast<std::int64_t>(u);
+  } else {
+    value_ = u;
+  }
+}
+
+double Json::as_number() const {
+  if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+    return static_cast<double>(*i);
+  }
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) {
+    return static_cast<double>(*u);
+  }
+  return std::get<double>(value_);
+}
+
+std::uint64_t Json::as_uint64() const {
+  if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+    if (*i < 0) throw std::bad_variant_access();
+    return static_cast<std::uint64_t>(*i);
+  }
+  return std::get<std::uint64_t>(value_);
 }
 
 std::string json_escape(std::string_view s) {
@@ -88,6 +116,9 @@ void dump_value(std::string& out, const Json& j) {
     out += "null";
   } else if (j.is_bool()) {
     out += j.as_bool() ? "true" : "false";
+  } else if (j.is_integer()) {
+    out += j.as_number() < 0.0 ? std::to_string(j.as_int64())
+                               : std::to_string(j.as_uint64());
   } else if (j.is_number()) {
     dump_number(out, j.as_number());
   } else if (j.is_string()) {
@@ -269,12 +300,22 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    double value = 0.0;
-    const auto res =
-        std::from_chars(text_.data() + start, text_.data() + pos_, value);
-    if (res.ec != std::errc() || res.ptr != text_.data() + pos_) {
-      fail("invalid number");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    // An integer literal that fits 64 bits stays exact; anything else
+    // (fraction, exponent, overflow) falls through to a double.
+    if (*first == '-') {
+      std::int64_t value = 0;
+      const auto res = std::from_chars(first, last, value);
+      if (res.ec == std::errc() && res.ptr == last) return Json(value);
+    } else {
+      std::uint64_t value = 0;
+      const auto res = std::from_chars(first, last, value);
+      if (res.ec == std::errc() && res.ptr == last) return Json(value);
     }
+    double value = 0.0;
+    const auto res = std::from_chars(first, last, value);
+    if (res.ec != std::errc() || res.ptr != last) fail("invalid number");
     return Json(value);
   }
 

@@ -3,7 +3,9 @@
 // AdaParse writes parsed text and routing decisions as JSONL records (one
 // JSON object per line, mirroring the paper's output format) and reads them
 // back in tests. We implement just enough of RFC 8259 for that: objects,
-// arrays, strings (with escapes), numbers, booleans, null.
+// arrays, strings (with escapes), numbers, booleans, null. Integer literals
+// that fit 64 bits stay exact integers (a double would round seeds above
+// 2^53); every other number is a double.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +31,9 @@ class Json {
   Json(std::nullptr_t) : value_(nullptr) {}
   Json(bool b) : value_(b) {}
   Json(double d) : value_(d) {}
-  Json(int i) : value_(static_cast<double>(i)) {}
-  Json(std::int64_t i) : value_(static_cast<double>(i)) {}
-  Json(std::size_t i) : value_(static_cast<double>(i)) {}
+  Json(int i) : value_(static_cast<std::int64_t>(i)) {}
+  Json(std::int64_t i) : value_(i) {}
+  Json(std::uint64_t u);
   Json(const char* s) : value_(std::string(s)) {}
   Json(std::string s) : value_(std::move(s)) {}
   Json(JsonArray a) : value_(std::move(a)) {}
@@ -39,14 +41,29 @@ class Json {
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(value_); }
   bool is_bool() const { return std::holds_alternative<bool>(value_); }
-  bool is_number() const { return std::holds_alternative<double>(value_); }
+  bool is_number() const {
+    return is_integer() || std::holds_alternative<double>(value_);
+  }
+  /// An exact integer: a literal without fraction or exponent that fits 64
+  /// bits, or a value built from an integer type.
+  bool is_integer() const {
+    return std::holds_alternative<std::int64_t>(value_) ||
+           std::holds_alternative<std::uint64_t>(value_);
+  }
   bool is_string() const { return std::holds_alternative<std::string>(value_); }
   bool is_array() const { return std::holds_alternative<JsonArray>(value_); }
   bool is_object() const { return std::holds_alternative<JsonObject>(value_); }
 
   /// Typed accessors; throw std::bad_variant_access on mismatch.
   bool as_bool() const { return std::get<bool>(value_); }
-  double as_number() const { return std::get<double>(value_); }
+  /// Any number, as a double (integers beyond 2^53 round).
+  double as_number() const;
+  /// An exact integer in int64 range; throws std::bad_variant_access for a
+  /// double or an integer above INT64_MAX.
+  std::int64_t as_int64() const { return std::get<std::int64_t>(value_); }
+  /// A non-negative exact integer; throws std::bad_variant_access for a
+  /// double or a negative integer.
+  std::uint64_t as_uint64() const;
   const std::string& as_string() const { return std::get<std::string>(value_); }
   const JsonArray& as_array() const { return std::get<JsonArray>(value_); }
   const JsonObject& as_object() const { return std::get<JsonObject>(value_); }
@@ -66,7 +83,10 @@ class Json {
   static Json parse(std::string_view text);
 
  private:
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject>
+  /// Integers in int64 range are int64; only those above INT64_MAX are
+  /// uint64, so each integer has one representation.
+  std::variant<std::nullptr_t, bool, double, std::int64_t, std::uint64_t,
+               std::string, JsonArray, JsonObject>
       value_;
 };
 

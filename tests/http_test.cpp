@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -399,6 +400,11 @@ TEST(JobSpecTest, ValidationErrorsNameTheOffendingField) {
        "\"pages\":[\"x\"]}]}}",
        "documents.inline[0].id"},
       {"{\"documents\":{\"shard_file\":\"\"}}", "documents.shard_file"},
+      {"{\"documents\":{\"inline\":[{\"id\":\"d\",\"pages\":[\"x\"],"
+       "\"seed\":-1}]}}",
+       "documents.inline[0].seed"},
+      {"{\"documents\":{\"generator\":{\"count\":4,\"seed\":1.5}}}",
+       "documents.generator.seed"},
   };
   for (const auto& c : cases) {
     try {
@@ -407,6 +413,41 @@ TEST(JobSpecTest, ValidationErrorsNameTheOffendingField) {
     } catch (const serve::SpecError& e) {
       EXPECT_EQ(e.field(), c.field) << c.body;
     }
+  }
+}
+
+TEST(JobSpecTest, SixtyFourBitSeedsSurviveTheJsonRoundTrip) {
+  const std::uint64_t drawn =
+      doc::CorpusGenerator(doc::benchmark_config(1, 31)).generate()[0].seed;
+  ASSERT_GT(drawn, std::uint64_t{1} << 53);  // a double would round it
+  for (const std::uint64_t seed :
+       {std::numeric_limits<std::uint64_t>::max(), drawn}) {
+    serve::JobSpec inline_spec;
+    inline_spec.documents = serve::JobSpec::Documents::kInline;
+    inline_spec.inline_docs.push_back({"w1", {"Hello world."}, seed});
+    const auto inline_round = serve::JobSpec::from_json(
+        util::Json::parse(inline_spec.to_json().dump()));
+    ASSERT_EQ(inline_round.inline_docs.size(), 1U);
+    EXPECT_EQ(inline_round.inline_docs[0].seed, seed);
+    const auto inline_source = inline_round.make_source();
+    const auto materialized = inline_source->next();
+    ASSERT_NE(materialized, nullptr);
+    EXPECT_EQ(materialized->seed, seed);
+
+    serve::JobSpec generator_spec;
+    generator_spec.documents = serve::JobSpec::Documents::kGenerator;
+    generator_spec.generator.num_documents = 2;
+    generator_spec.generator.seed = seed;
+    const auto generator_round = serve::JobSpec::from_json(
+        util::Json::parse(generator_spec.to_json().dump()));
+    EXPECT_EQ(generator_round.generator.seed, seed);
+    const auto generator_source = generator_round.make_source();
+    const auto generated = generator_source->next();
+    const auto expected =
+        doc::CorpusGenerator(generator_spec.generator).generate();
+    ASSERT_NE(generated, nullptr);
+    EXPECT_EQ(generated->id, expected[0].id);
+    EXPECT_EQ(generated->seed, expected[0].seed);
   }
 }
 

@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/doc_source.hpp"
@@ -15,6 +18,7 @@
 #include "doc/generator.hpp"
 #include "io/doc_codec.hpp"
 #include "io/jsonl.hpp"
+#include "obs/trace.hpp"
 
 namespace adaparse::core {
 namespace {
@@ -87,22 +91,43 @@ std::vector<doc::Document>* PipelineFixture::docs_ = nullptr;
 
 // ----------------------------------------------------------- equivalence ----
 
-TEST_F(PipelineFixture, StreamingMatchesBarrierLlmVariant) {
+/// The equivalence cases, once per extract-worker count: 1 is a service
+/// slice's shape, 8 oversubscribes a typical test host's cores. Extract
+/// workers score their documents, so scoring order varies with the count;
+/// decisions must not.
+class PipelineWorkers : public PipelineFixture,
+                        public ::testing::WithParamInterface<std::size_t> {
+ protected:
+  PipelineConfig config() const {
+    PipelineConfig config;
+    config.extract_workers = GetParam();
+    return config;
+  }
+};
+
+TEST_P(PipelineWorkers, StreamingMatchesBarrierLlmVariant) {
   const auto& engine = *bundle_->llm;
   const auto barrier = engine.run_barrier(*docs_);
-  const auto streaming = Pipeline(engine).run_collect(*docs_);
+  const auto streaming = Pipeline(engine, config()).run_collect(*docs_);
   EXPECT_TRUE(streaming.stats.pipeline.streaming);
   EXPECT_FALSE(barrier.stats.pipeline.streaming);
   EXPECT_GT(barrier.stats.routed_to_nougat, 0U);  // the GPU lane is live
   expect_identical(streaming, barrier);
 }
 
-TEST_F(PipelineFixture, StreamingMatchesBarrierFtVariant) {
+TEST_P(PipelineWorkers, StreamingMatchesBarrierFtVariant) {
   const auto& engine = *bundle_->ft;
   const auto barrier = engine.run_barrier(*docs_);
-  const auto streaming = Pipeline(engine).run_collect(*docs_);
+  const auto streaming = Pipeline(engine, config()).run_collect(*docs_);
   expect_identical(streaming, barrier);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ExtractWorkers, PipelineWorkers,
+    ::testing::Values(std::size_t{1}, std::size_t{3}, std::size_t{8}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::to_string(info.param);
+    });
 
 TEST_F(PipelineFixture, RunDelegatesToStreamingPipeline) {
   const auto output = bundle_->llm->run(*docs_);
@@ -119,6 +144,40 @@ TEST_F(PipelineFixture, TinyQueuesStillMatch) {
   const auto streaming =
       Pipeline(*bundle_->llm, config).run_collect(*docs_);
   expect_identical(streaming, bundle_->llm->run_barrier(*docs_));
+}
+
+TEST_F(PipelineFixture, ExtractWorkersScoreAndTheRouterOnlySelects) {
+  auto& tracer = obs::Tracer::instance();
+  const bool was_enabled = tracer.enabled();
+  static_cast<void>(tracer.collect());
+  tracer.set_enabled(true);
+  const auto output = Pipeline(*bundle_->llm).run_collect(*docs_);
+  const auto spans = tracer.collect();
+  tracer.set_enabled(was_enabled);
+  ASSERT_EQ(output.records.size(), docs_->size());
+
+  std::set<std::uint32_t> router_tids;
+  std::set<std::uint64_t> extract_ids;
+  std::vector<obs::SpanRecord> scores;
+  for (const auto& span : spans) {
+    if (std::string_view(span.category) != "pipeline") continue;
+    const std::string_view name = span.name;
+    if (name == "route.window") router_tids.insert(span.tid);
+    if (name == "extract") extract_ids.insert(span.id);
+    if (name == "score") scores.push_back(span);
+  }
+  ASSERT_FALSE(router_tids.empty());
+  // One score span per document, on the extract workers, next to (not
+  // inside) the document's extract span.
+  ASSERT_EQ(scores.size(), docs_->size());
+  std::set<std::uint64_t> scored_docs;
+  for (const auto& score : scores) {
+    EXPECT_EQ(router_tids.count(score.tid), 0U) << "doc " << score.arg1;
+    EXPECT_EQ(extract_ids.count(score.parent), 0U) << "doc " << score.arg1;
+    EXPECT_STREQ(score.arg1_name, "doc");
+    scored_docs.insert(score.arg1);
+  }
+  EXPECT_EQ(scored_docs.size(), docs_->size());
 }
 
 // ---------------------------------------------------------------- sources ----

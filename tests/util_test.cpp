@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <variant>
 
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -452,6 +453,36 @@ TEST(Json, NumbersIncludingNegativeAndExponent) {
   EXPECT_EQ(Json::parse("-3.5").as_number(), -3.5);
   EXPECT_EQ(Json::parse("1e3").as_number(), 1000.0);
   EXPECT_EQ(Json::parse("0").as_number(), 0.0);
+}
+
+TEST(Json, IntegerLiteralsStayExactThroughParseAndDump) {
+  // Beyond 2^53 a double would round; 64-bit integers must not.
+  for (const char* literal :
+       {"18446744073709551615", "9223372036854775808", "12345678901234567",
+        "-9223372036854775808", "-12345678901234567", "0", "-7"}) {
+    const Json j = Json::parse(literal);
+    EXPECT_TRUE(j.is_integer()) << literal;
+    EXPECT_TRUE(j.is_number()) << literal;
+    EXPECT_EQ(j.dump(), literal);
+  }
+  EXPECT_EQ(Json::parse("18446744073709551615").as_uint64(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json(std::numeric_limits<std::uint64_t>::max()).dump(),
+            "18446744073709551615");
+  EXPECT_EQ(Json(std::int64_t{-12345678901234567}).dump(),
+            "-12345678901234567");
+  EXPECT_THROW(static_cast<void>(Json::parse("-1").as_uint64()),
+               std::bad_variant_access);
+  EXPECT_THROW(static_cast<void>(Json::parse("1.0").as_uint64()),
+               std::bad_variant_access);
+  // Fractions, exponents and overflow stay doubles, dumped as before.
+  EXPECT_FALSE(Json::parse("1e3").is_integer());
+  EXPECT_FALSE(Json::parse("2.5").is_integer());
+  EXPECT_FALSE(Json::parse("18446744073709551616").is_integer());
+  EXPECT_EQ(Json::parse("18446744073709551616").dump(), "1.84467440737e+19");
+  EXPECT_EQ(Json(1e15).dump(), "1e+15");
 }
 
 TEST(Json, NonFiniteDumpsAsNull) {

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "doc/document.hpp"
@@ -98,12 +99,13 @@ class GeneratorSource final : public DocumentSource {
 };
 
 /// Streams documents out of a packed shard archive (io::ShardReader over a
-/// blob produced by io::pack_corpus_shard). Entries are decoded lazily,
-/// one document per next() call.
+/// blob produced by io::pack_corpus_shard). The archive is unpacked to its
+/// JSON entries up front, so the blob is not kept; each entry is parsed
+/// into a document lazily, one per next() call.
 class ShardSource final : public DocumentSource {
  public:
   /// Throws std::runtime_error on a malformed shard.
-  explicit ShardSource(std::string blob);
+  explicit ShardSource(std::string_view blob);
 
   std::shared_ptr<const doc::Document> next() override;
   std::size_t size_hint() const override { return reader_.count(); }

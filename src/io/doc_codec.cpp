@@ -100,7 +100,7 @@ std::string pack_corpus_shard(const std::vector<doc::Document>& docs) {
   return writer.finish();
 }
 
-std::vector<doc::Document> unpack_corpus_shard(const std::string& blob) {
+std::vector<doc::Document> unpack_corpus_shard(std::string_view blob) {
   ShardReader reader(blob);
   std::vector<doc::Document> docs;
   docs.reserve(reader.count());

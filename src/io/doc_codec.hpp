@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "doc/document.hpp"
@@ -32,6 +33,6 @@ std::string pack_corpus_shard(const std::vector<doc::Document>& docs);
 /// in entry order. Throws std::runtime_error on a malformed shard or
 /// malformed entry payloads (the campaign runner treats that as a corrupt
 /// shard file and re-stages it).
-std::vector<doc::Document> unpack_corpus_shard(const std::string& blob);
+std::vector<doc::Document> unpack_corpus_shard(std::string_view blob);
 
 }  // namespace adaparse::io

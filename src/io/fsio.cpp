@@ -1,12 +1,13 @@
 #include "io/fsio.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -55,11 +56,31 @@ void fsync_parent_dir(const std::string& path) {
 }  // namespace
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  // One read into a buffer sized by fstat. The spare byte lets the read
+  // that meets EOF return 0 without growing the buffer; a file whose fstat
+  // size is 0 (/proc, FIFOs) or that grows meanwhile doubles it instead.
+  std::string bytes;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    bytes.resize(static_cast<std::size_t>(st.st_size) + 1);
+  }
+  std::size_t got = 0;
+  for (;;) {
+    if (got == bytes.size()) bytes.resize(std::max<std::size_t>(4096, 2 * got));
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      ::close(fd);
+      return std::nullopt;
+    }
+  }
+  ::close(fd);
+  bytes.resize(got);
   return bytes;
 }
 

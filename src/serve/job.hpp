@@ -139,6 +139,8 @@ class ParseJob {
   std::size_t total_hint_ = 0;
 
   // ---- service-side execution state (dispatcher-only, unsynchronized) ----
+  /// Both are released when the job turns terminal (or is rejected), so a
+  /// handle kept for status queries does not keep its documents alive.
   std::unique_ptr<core::DocumentSource> source_;
   std::unique_ptr<core::AdaParseEngine> engine_;
   std::size_t docs_pulled_ = 0;  ///< documents drawn from the source so far

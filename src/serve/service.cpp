@@ -213,6 +213,9 @@ JobHandle ParseService::submit(JobRequest request) {
   }
 
   const auto reject = [&](std::string reason) {
+    // Never queued, so nothing else touches the source or the engine.
+    job->source_.reset();
+    job->engine_.reset();
     {
       std::lock_guard<std::mutex> lock(job->mutex_);
       job->state_ = JobState::kRejected;
@@ -659,6 +662,12 @@ void ParseService::finalize(const JobHandle& job, JobState state,
     resident_docs_ -= std::min(resident_docs_, j.resident_estimate_);
     active_jobs_.erase(j.id());
   }
+  // A terminal job never runs again, but its handle can live on in the
+  // status history: drop the documents and the engine now. Safe without a
+  // lock because the caller holds the job's only schedule item, so no
+  // slice is running (run_slice finalizes after pipeline.run returns).
+  j.source_.reset();
+  j.engine_.reset();
   idle_cv_.notify_all();
 }
 

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -45,28 +46,82 @@ std::uint64_t Json::as_uint64() const {
   return std::get<std::uint64_t>(value_);
 }
 
+namespace {
+
+/// Per byte: 0 if it passes through unescaped, else the character after
+/// the backslash ('u' for the \u00xx form every other control byte takes).
+constexpr std::array<char, 256> kEscapes = [] {
+  std::array<char, 256> table{};
+  for (int c = 0; c < 0x20; ++c) table[c] = 'u';
+  table['"'] = '"';
+  table['\\'] = '\\';
+  table['\n'] = 'n';
+  table['\r'] = 'r';
+  table['\t'] = 't';
+  table['\b'] = 'b';
+  table['\f'] = 'f';
+  return table;
+}();
+
+constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ULL;
+
+/// The 8 bytes at `p` as one word (byte order does not matter below).
+std::uint64_t load_word(const char* p) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, 8);
+  return word;
+}
+
+/// Nonzero iff some byte of `word` equals `c`.
+std::uint64_t has_byte(std::uint64_t word, unsigned char c) {
+  const std::uint64_t x = word ^ (kLowBits * c);
+  return (x - kLowBits) & ~x & kHighBits;
+}
+
+/// Nonzero iff some byte of `word` is below `n` (n <= 0x80).
+std::uint64_t has_byte_below(std::uint64_t word, unsigned char n) {
+  return (word - kLowBits * n) & ~word & kHighBits;
+}
+
+/// Appends `s`, escaped, to `out`: each maximal run of bytes that need no
+/// escape goes in with one append. Bytes >= 0x80 pass through.
+void escape_into(std::string& out, std::string_view s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (p != end) {
+    const char* const run = p;
+    // Eight bytes at a time while none needs an escape, then bytewise.
+    while (end - p >= 8) {
+      const std::uint64_t word = load_word(p);
+      if (has_byte_below(word, 0x20) | has_byte(word, '"') |
+          has_byte(word, '\\')) {
+        break;
+      }
+      p += 8;
+    }
+    while (p != end && kEscapes[static_cast<unsigned char>(*p)] == 0) ++p;
+    out.append(run, p);
+    if (p == end) break;
+    const auto c = static_cast<unsigned char>(*p++);
+    const char e = kEscapes[c];
+    if (e == 'u') {
+      constexpr char kHex[] = "0123456789abcdef";
+      const char seq[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+      out.append(seq, 6);
+    } else {
+      const char seq[2] = {'\\', e};
+      out.append(seq, 2);
+    }
+  }
+}
+
+}  // namespace
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
-          out += buf.data();
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  escape_into(out, s);
   return out;
 }
 
@@ -104,7 +159,7 @@ void dump_object(std::string& out, const JsonObject& o) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += json_escape(k);
+    escape_into(out, k);
     out += "\":";
     dump_value(out, v);
   }
@@ -123,7 +178,7 @@ void dump_value(std::string& out, const Json& j) {
     dump_number(out, j.as_number());
   } else if (j.is_string()) {
     out += '"';
-    out += json_escape(j.as_string());
+    escape_into(out, j.as_string());
     out += '"';
   } else if (j.is_array()) {
     dump_array(out, j.as_array());
@@ -213,7 +268,10 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj[std::move(key)] = parse_value();
+      // Keys usually arrive sorted (dump() writes them in map order), so
+      // the end hint makes each insert O(1); a repeated key still takes
+      // the last value.
+      obj.insert_or_assign(obj.end(), std::move(key), parse_value());
       skip_ws();
       const char c = advance();
       if (c == '}') break;
@@ -244,51 +302,96 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      const char c = advance();
-      if (c == '"') break;
-      if (c == '\\') {
-        const char e = advance();
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = advance();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid hex digit in \\u escape");
-            }
-            // Encode as UTF-8 (BMP only; surrogate pairs are passed through
-            // as two separate 3-byte sequences, fine for our data).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+      // Everything up to the next quote or backslash goes in with one
+      // append; running off the end fails in advance() at the same offset
+      // a byte-at-a-time scan would.
+      const std::size_t run = pos_;
+      while (pos_ + 8 <= text_.size()) {
+        const std::uint64_t word = load_word(text_.data() + pos_);
+        if (has_byte(word, '"') | has_byte(word, '\\')) break;
+        pos_ += 8;
+      }
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
+      if (advance() == '"') break;
+      const char e = advance();
+      switch (e) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const int digit = hex_digit(advance());
+            if (digit < 0) fail("invalid hex digit in \\u escape");
+            code = (code << 4) | static_cast<unsigned>(digit);
           }
-          default: fail("invalid escape character");
+          // A high surrogate escaped right before a low one is a single
+          // code point beyond the BMP (JSON's only spelling of one in
+          // ASCII). A lone surrogate keeps its 3-byte form.
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            const unsigned low = escaped_low_surrogate();
+            if (low != 0) {
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+              pos_ += 6;
+            }
+          }
+          append_utf8(out, code);
+          break;
         }
-      } else {
-        out += c;
+        default: fail("invalid escape character");
       }
     }
     return out;
+  }
+
+  static int hex_digit(char h) {
+    if (h >= '0' && h <= '9') return h - '0';
+    if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+    if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+    return -1;
+  }
+
+  /// The low surrogate spelled by a complete `\uDC00`-`\uDFFF` escape at
+  /// pos_, or 0 (nothing is consumed either way).
+  unsigned escaped_low_surrogate() const {
+    if (pos_ + 6 > text_.size() || text_[pos_] != '\\' ||
+        text_[pos_ + 1] != 'u') {
+      return 0;
+    }
+    unsigned code = 0;
+    for (std::size_t i = pos_ + 2; i < pos_ + 6; ++i) {
+      const int digit = hex_digit(text_[i]);
+      if (digit < 0) return 0;
+      code = (code << 4) | static_cast<unsigned>(digit);
+    }
+    return code >= 0xDC00 && code <= 0xDFFF ? code : 0;
+  }
+
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
   }
 
   Json parse_number() {

@@ -79,7 +79,8 @@ class Json {
   std::string dump() const;
 
   /// Parses a complete JSON document; throws std::runtime_error on malformed
-  /// input or trailing garbage.
+  /// input or trailing garbage. \u escapes decode to UTF-8: a surrogate
+  /// pair becomes one 4-byte sequence, a lone surrogate its 3-byte form.
   static Json parse(std::string_view text);
 
  private:

@@ -451,6 +451,28 @@ TEST(JobSpecTest, SixtyFourBitSeedsSurviveTheJsonRoundTrip) {
   }
 }
 
+TEST(JobSpecTest, InlineTextBeyondTheBmpSurvivesTheRoundTrip) {
+  // Python's json.dumps (ensure_ascii) sends U+1D6FC, the mathematical
+  // italic alpha, as an escaped surrogate pair; the document must carry
+  // its UTF-8 form, not two encoded surrogate halves.
+  const std::string alpha = "\xF0\x9D\x9B\xBC";
+  const auto spec = serve::JobSpec::from_json(util::Json::parse(
+      R"({"documents":{"inline":[{"id":"m1",)"
+      R"("pages":["Let \ud835\udefc be the angle."]}]}})"));
+  ASSERT_EQ(spec.inline_docs.size(), 1U);
+  const std::string page = "Let " + alpha + " be the angle.";
+  EXPECT_EQ(spec.inline_docs[0].pages, std::vector<std::string>{page});
+  // Raw UTF-8 on the way out, and back in unchanged.
+  const std::string wire = spec.to_json().dump();
+  EXPECT_NE(wire.find(alpha), std::string::npos);
+  const auto round = serve::JobSpec::from_json(util::Json::parse(wire));
+  EXPECT_EQ(round.to_json().dump(), wire);
+  const auto source = round.make_source();  // owns what next() returns
+  const auto document = source->next();
+  ASSERT_NE(document, nullptr);
+  EXPECT_EQ(document->text_layer.pages, std::vector<std::string>{page});
+}
+
 TEST(JobSpecTest, InlineDocumentsMaterializeBornDigital) {
   serve::JobSpec spec;
   spec.documents = serve::JobSpec::Documents::kInline;

@@ -1,8 +1,10 @@
 // Tests for the io module: JSONL records, shard archives, and the document
 // codec used by shard-backed streaming sources.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <filesystem>
+#include <random>
 #include <sstream>
 
 #include "doc/generator.hpp"
@@ -10,6 +12,7 @@
 #include "io/fsio.hpp"
 #include "io/jsonl.hpp"
 #include "io/shard.hpp"
+#include "simd/dispatch.hpp"
 
 namespace adaparse::io {
 namespace {
@@ -93,6 +96,55 @@ TEST(Rle, RejectsMalformed) {
   EXPECT_THROW(rle_decode(zero_run), std::runtime_error);
 }
 
+/// The greedy reference the shard format was defined by: a run of up to
+/// 255 equal bytes becomes (count, byte), then the scan resumes after it.
+std::string reference_rle(std::string_view s) {
+  std::string out;
+  for (std::size_t i = 0; i < s.size();) {
+    std::size_t run = 1;
+    while (i + run < s.size() && s[i + run] == s[i] && run < 255) ++run;
+    out += static_cast<char>(run);
+    out += s[i];
+    i += run;
+  }
+  return out;
+}
+
+TEST(Rle, MatchesTheReferenceEncoderOnEveryTier) {
+  std::vector<std::string> inputs = {"", "a", "ab", "aa", "aab", "abb"};
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) {
+    every_byte.append(static_cast<std::size_t>(1 + c % 3),
+                      static_cast<char>(c));
+  }
+  inputs.push_back(every_byte);
+  // Runs of 1-600 bytes cross the 255 cap and the 64-byte mask words.
+  std::mt19937_64 rng(0x5eed);
+  for (int i = 0; i < 300; ++i) {
+    std::string s;
+    const std::size_t runs = 1 + rng() % 40;
+    for (std::size_t r = 0; r < runs; ++r) {
+      const std::size_t len = rng() % 4 == 0 ? 1 + rng() % 600 : 1 + rng() % 3;
+      s.append(len, static_cast<char>(rng() % (i % 2 == 0 ? 256 : 3)));
+    }
+    inputs.push_back(s);
+  }
+  inputs.push_back(std::string(255, 'z'));
+  inputs.push_back(std::string(256, 'z'));
+  inputs.push_back("head" + std::string(511, '\0'));  // a run ends the input
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    const simd::TierScope scope(tier);
+    for (const auto& input : inputs) {
+      const std::string encoded = rle_encode(input);
+      ASSERT_EQ(encoded, reference_rle(input))
+          << "tier " << simd::active_tier_name() << ", " << input.size()
+          << " bytes";
+      ASSERT_EQ(rle_decode(encoded), input);
+    }
+  }
+}
+
 TEST(Shard, WriteReadRoundTrip) {
   ShardWriter writer;
   writer.add("doc-0.txt", "first document body");
@@ -129,6 +181,11 @@ TEST(Shard, RejectsCorruptedBlobs) {
                std::runtime_error);
   // Trailing garbage.
   EXPECT_THROW(ShardReader{blob + "x"}, std::runtime_error);
+  // A damaged entry count fails as a malformed shard, not as an
+  // allocation failure the campaign would not treat as corruption.
+  std::string huge_count = blob.substr(0, 4);
+  huge_count.append(4, '\xFF');
+  EXPECT_THROW(ShardReader{huge_count}, std::runtime_error);
 }
 
 TEST(Shard, PlanShardsRespectsByteBudget) {
@@ -225,6 +282,16 @@ TEST(DocCodec, UnpackInvertsPack) {
   }
 }
 
+TEST(DocCodec, PackedShardBytesArePinned) {
+  // Staged .shard files are durable inputs a resumed campaign reads back:
+  // their bytes must not drift, whatever the codecs underneath do.
+  const auto docs =
+      doc::CorpusGenerator(doc::benchmark_config(24, /*seed=*/41)).generate();
+  const std::string blob = pack_corpus_shard(docs);
+  EXPECT_EQ(blob.size(), 1641862u);
+  EXPECT_EQ(fnv1a(blob), 0x06627bb22ee4febfULL);
+}
+
 TEST(DocCodec, UnpackRejectsCorruptBlob) {
   const auto docs =
       doc::CorpusGenerator(doc::benchmark_config(3, /*seed=*/34)).generate();
@@ -235,6 +302,17 @@ TEST(DocCodec, UnpackRejectsCorruptBlob) {
 
 TEST(Fsio, ReadMissingFileReturnsNullopt) {
   EXPECT_FALSE(read_file("/nonexistent/adaparse-fsio-test").has_value());
+}
+
+TEST(Fsio, ReadsFilesWhoseStatSizeIsZero) {
+  // /proc files report st_size 0 but have content: reading stops at EOF,
+  // not at the size fstat announced.
+  struct stat st {};
+  ASSERT_EQ(::stat("/proc/self/status", &st), 0);
+  ASSERT_EQ(st.st_size, 0);
+  const auto bytes = read_file("/proc/self/status");
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_NE(bytes->find("Name:"), std::string::npos);
 }
 
 TEST(Fsio, AtomicWriteRoundTripsAndLeavesNoTemp) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -660,6 +661,59 @@ TEST(ParseServiceTest, LlmJobWithoutPredictorIsRejectedNotCrashed) {
   auto job = service.submit(std::move(request));
   EXPECT_EQ(job->state(), JobState::kRejected);
   EXPECT_NE(job->error().find("engine:"), std::string::npos);
+}
+
+/// Owns its documents and raises `destroyed` when the job lets go of it.
+class FlagOnDestroySource final : public core::DocumentSource {
+ public:
+  FlagOnDestroySource(std::vector<doc::Document> docs,
+                      std::atomic<bool>* destroyed)
+      : inner_(std::move(docs)), destroyed_(destroyed) {}
+  ~FlagOnDestroySource() override { destroyed_->store(true); }
+
+  std::shared_ptr<const doc::Document> next() override {
+    return inner_.next();
+  }
+  std::size_t size_hint() const override { return inner_.size_hint(); }
+
+ private:
+  core::OwnedVectorSource inner_;
+  std::atomic<bool>* destroyed_;
+};
+
+TEST(ParseServiceTest, TerminalJobsReleaseTheirDocuments) {
+  ServiceConfig config;
+  config.dispatchers = 1;
+  config.slice_batches = 1;
+  config.pool_threads = 2;
+  ParseService service(config, nullptr, shared_improver());
+  const auto docs = mixed_corpus(40, 919);
+
+  // Completed: the handle stays valid for status and results, but the
+  // documents are gone once the job is terminal.
+  std::atomic<bool> completed_released{false};
+  JobRequest request;
+  request.spec.tenant = "keep";
+  request.spec.engine = ft_config(/*batch_size=*/16);
+  request.source =
+      std::make_unique<FlagOnDestroySource>(docs, &completed_released);
+  const JobHandle job = service.submit(std::move(request));
+  job->wait();
+  service.drain();  // the dispatcher has returned from the final slice
+  ASSERT_EQ(job->state(), JobState::kCompleted);
+  EXPECT_TRUE(completed_released.load());
+  EXPECT_EQ(job->progress().docs_total_hint, docs.size());
+  EXPECT_EQ(job->take_results().size(), docs.size());
+
+  // Rejected at submission: released before submit() returns.
+  std::atomic<bool> rejected_released{false};
+  JobRequest llm;
+  llm.spec.tenant = "keep";
+  llm.spec.engine.variant = core::Variant::kLlm;  // no predictor: rejected
+  llm.source = std::make_unique<FlagOnDestroySource>(docs, &rejected_released);
+  const JobHandle rejected = service.submit(std::move(llm));
+  EXPECT_EQ(rejected->state(), JobState::kRejected);
+  EXPECT_TRUE(rejected_released.load());
 }
 
 // ---------------------------------------------- service: cancellation ----

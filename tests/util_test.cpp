@@ -438,6 +438,63 @@ TEST(Json, ParsesNestedStructures) {
 TEST(Json, ParsesUnicodeEscapes) {
   const Json j = Json::parse(R"("Aé")");
   EXPECT_EQ(j.as_string(), "A\xC3\xA9");
+  EXPECT_EQ(Json::parse(R"("A\u00e9\u00E9")").as_string(),
+            "A\xC3\xA9\xC3\xA9");
+  // A surrogate pair is one code point: U+1D6FC (mathematical italic
+  // alpha) is the 4-byte UTF-8 sequence, not two 3-byte halves.
+  EXPECT_EQ(Json::parse(R"("\ud835\udefc")").as_string(), "\xF0\x9D\x9B\xBC");
+  EXPECT_EQ(Json::parse(R"("x\uD835\uDEFCy")").as_string(),
+            "x\xF0\x9D\x9B\xBCy");
+  // Lone surrogates keep their 3-byte form, so nothing that parsed before
+  // is rejected now.
+  EXPECT_EQ(Json::parse(R"("\ud835")").as_string(), "\xED\xA0\xB5");
+  EXPECT_EQ(Json::parse(R"("\udefc")").as_string(), "\xED\xBB\xBC");
+  EXPECT_EQ(Json::parse(R"("\ud835x")").as_string(), "\xED\xA0\xB5x");
+  EXPECT_EQ(Json::parse(R"("\ud835\u0041")").as_string(), "\xED\xA0\xB5" "A");
+  EXPECT_EQ(Json::parse(R"("\ud835\ud835\udefc")").as_string(),
+            "\xED\xA0\xB5\xF0\x9D\x9B\xBC");
+}
+
+TEST(Json, EscapeOfEveryByteValueIsPinned) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  std::string expected =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      " !\\\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+      "[\\\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\x7f";
+  for (int c = 0x80; c < 0x100; ++c) expected += static_cast<char>(c);
+  EXPECT_EQ(json_escape(all), expected);
+  // dump() escapes through the same routine, keys included.
+  EXPECT_EQ(Json(all).dump(), '"' + expected + '"');
+  EXPECT_EQ(Json(JsonObject{{all, Json(1)}}).dump(),
+            "{\"" + expected + "\":1}");
+  EXPECT_EQ(Json::parse(Json(all).dump()).as_string(), all);
+}
+
+TEST(Json, UnterminatedStringsFailAtTheEndOfInput) {
+  const auto error = [](std::string_view text) {
+    try {
+      static_cast<void>(Json::parse(text));
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("parsed");
+  };
+  EXPECT_EQ(error("\"unterminated"),
+            "json parse error at offset 13: unexpected end of input");
+  EXPECT_EQ(error(R"({"k":"a\"b)"),
+            "json parse error at offset 10: unexpected end of input");
+  EXPECT_EQ(error(R"("abc\)"),
+            "json parse error at offset 5: unexpected end of input");
+  EXPECT_EQ(error(R"("\ud835\udefc)"),
+            "json parse error at offset 13: unexpected end of input");
+  EXPECT_EQ(error(R"("\ud835\u12)"),
+            "json parse error at offset 9: truncated \\u escape");
+  EXPECT_EQ(error(R"("\ud835\uZZZZ")"),
+            "json parse error at offset 10: invalid hex digit in \\u escape");
 }
 
 TEST(Json, RejectsMalformedInput) {
